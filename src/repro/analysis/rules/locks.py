@@ -13,6 +13,9 @@ Conventions the rule understands:
 * ``threading.Lock`` / ``RLock`` / ``Condition`` attributes are locks;
   a ``Condition(self._lock)`` is an alias of the lock it wraps, so
   ``with self._cond:`` counts as holding ``self._lock``.
+* A ``with self.<name>lock:`` block names a lock even when no method of
+  the class builds it — the lock a base class (the serving front end)
+  owns is still the lock its subclasses' writes must hold.
 * ``__init__`` (and ``__new__``/``__del__``) are exempt: construction
   and teardown happen before/after the object is shared.
 * Methods whose name ends in ``_locked`` are exempt — the repo's naming
@@ -113,6 +116,10 @@ class _ClassScan:
                     for attr, value in _assigned_attrs(node):
                         if value is not None and _lock_call_type(value):
                             locks.add(attr)
+                elif isinstance(node, ast.withitem):
+                    attr = is_self_attr(node.context_expr)
+                    if attr and attr.endswith("lock"):
+                        locks.add(attr)
         return frozenset(locks)
 
     def scan(self) -> dict[str, list[tuple[str, ast.stmt]]]:

@@ -8,9 +8,14 @@ Two servers, one bit-identity contract:
   backpressure, graceful shutdown and latency/throughput stats.
 * :class:`ShardedInferenceServer` — a spawn-backed worker *process*
   pool (one Predictor replica per process, shared-memory tensor
-  transport via :mod:`~repro.serving.shm`, shape-affine routing,
+  transport via :mod:`~repro.comms.shm`, shape-affine routing,
   admission control and crash recovery) for workloads where the GIL is
   the bottleneck.
+
+Both share one front end (:mod:`~repro.serving.frontend`): the same
+input checks, ``overload`` admission (block / reject; the cluster adds
+degrade), ``predict``/``pending``/``stats`` and one
+:class:`ServerStats` schema and accounting rule.
 
 Every served output — threaded, sharded, compiled or degraded-tile for
 in-tile requests — is bit-identical to a serial Predictor call on the
@@ -29,7 +34,8 @@ from .bench import (
     run_serve_bench,
     run_sharded_bench,
 )
-from .cluster import OVERLOAD_POLICIES, ClusterStats, ShardedInferenceServer, WorkerCrashed
+from .cluster import ShardedInferenceServer, WorkerCrashed
+from .frontend import OVERLOAD_POLICIES, ServerClosed, ServerOverloaded, ServerStats
 from .loadgen import (
     ArrivalTrace,
     LoadResult,
@@ -41,8 +47,7 @@ from .loadgen import (
     run_open_loop,
     serial_reference,
 )
-from .server import InferenceServer, ServerClosed, ServerOverloaded, ServerStats
-from .shm import RingClient, ShmRing, active_segments
+from .server import InferenceServer
 
 __all__ = [
     "InferenceServer",
@@ -50,12 +55,8 @@ __all__ = [
     "ServerOverloaded",
     "ServerStats",
     "ShardedInferenceServer",
-    "ClusterStats",
     "WorkerCrashed",
     "OVERLOAD_POLICIES",
-    "ShmRing",
-    "RingClient",
-    "active_segments",
     "LoadResult",
     "Workload",
     "ArrivalTrace",

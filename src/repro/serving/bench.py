@@ -26,6 +26,7 @@ import numpy as np
 from ..models.ernet import dn_ernet_pu
 from ..nn.inference import Predictor
 from ..nn.module import Module
+from .cluster import ShardedInferenceServer
 from .loadgen import (
     LoadResult,
     make_poisson_trace,
@@ -233,10 +234,6 @@ def run_sharded_bench(config: ShardedBenchConfig) -> ShardedBenchReport:
     so the bit-identity verdict covers shape-affine routing and
     cross-process transport, not just a single shape.
     """
-    # Imported here so `repro.serving` stays importable without the
-    # experiments package (the cluster pulls in spawn helpers lazily too).
-    from .cluster import ShardedInferenceServer
-
     if 1 not in config.procs:
         raise ValueError("procs must include 1 (the sharding speedup baseline)")
     size = config.image_size

@@ -10,7 +10,7 @@ so GEMM-bound requests run on separate interpreters instead of
 contending for one GIL.
 
 **Transport.**  Request and response arrays never cross a pipe: the
-router writes each request into a :class:`~repro.serving.shm.ShmRing`
+router writes each request into a :class:`~repro.comms.shm.ShmRing`
 slot and sends only a tiny descriptor ``(request id, slot, shape,
 degraded)`` over the worker's task queue; the worker copies the array
 out of shared memory, predicts, writes the response into the same
@@ -26,16 +26,14 @@ execution plans are per-shape, so affinity keeps a shape's traffic on
 workers that have already paid that shape's trace cost instead of
 re-tracing it on all ``procs`` workers.
 
-**Admission control.**  ``overload`` picks what happens when
-``queue_depth`` requests are already in flight: ``"block"`` applies
-backpressure like the thread server, ``"reject"`` raises
-:class:`~repro.serving.server.ServerOverloaded` immediately, and
-``"degrade"`` first serves new requests through a cheaper fallback
-predictor (eager, coarser tiling — no plan builds, less halo overlap)
-once ``degrade_at`` requests are in flight, then rejects at the full
-``queue_depth``.  Under open-loop overload the server therefore sheds
-or cheapens load with a bounded p99 instead of letting the queue
-collapse.  Degraded service keeps bit-identity for any request that
+**Admission control** is the shared front end's
+(:mod:`~repro.serving.frontend`), bounding requests in flight.  Beyond
+``"block"`` and ``"reject"``, ``overload="degrade"`` serves new
+requests through a cheaper fallback predictor (eager, coarser tiling —
+no plan builds, less halo overlap) once ``degrade_at`` requests are in
+flight, then rejects at the full ``queue_depth``.  Under open-loop
+overload the server therefore sheds or cheapens load with a bounded p99
+instead of letting the queue collapse.  Degraded service keeps bit-identity for any request that
 fits one tile (the batched path does not depend on tile size); only
 larger-than-tile requests may differ from the serial reference by
 float reassociation on BLAS backends.
@@ -62,7 +60,6 @@ worker crash.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import os
 import queue as queue_module
@@ -70,25 +67,16 @@ import threading
 import time
 from collections.abc import Callable, Mapping
 from concurrent.futures import Future
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Any
 
 import numpy as np
 
+from ..comms.shm import RingClient, ShmRing
 from ..nn.inference import DEFAULT_TILE, Predictor
 from ..nn.module import Module
-from .server import ServerClosed, ServerOverloaded
-from .shm import RingClient, ShmRing
+from .frontend import ServerClosed, _FrontEnd
 
-__all__ = [
-    "ShardedInferenceServer",
-    "ClusterStats",
-    "WorkerCrashed",
-    "OVERLOAD_POLICIES",
-]
-
-#: Admission policies for a full cluster (see the module docstring).
-OVERLOAD_POLICIES = ("block", "reject", "degrade")
+__all__ = ["ShardedInferenceServer", "WorkerCrashed"]
 
 _JOIN_TIMEOUT_S = 10.0
 _COLLECT_TICK_S = 0.05
@@ -96,113 +84,6 @@ _COLLECT_TICK_S = 0.05
 
 class WorkerCrashed(RuntimeError):
     """Raised to a client whose request ran out of crash-retry budget."""
-
-
-@dataclasses.dataclass(frozen=True)
-class ClusterStats:
-    """Aggregate snapshot of a sharded server's request accounting.
-
-    Latency fields mirror :class:`~repro.serving.server.ServerStats`
-    (same p50/p95/p99 + SLO-attainment schema) so thread- and
-    process-based serving report comparably.
-    """
-
-    requests: int
-    rejected: int
-    degraded: int
-    failed: int
-    retried: int
-    respawns: int
-    latency_ms_mean: float
-    latency_ms_p50: float
-    latency_ms_p95: float
-    latency_ms_p99: float
-    latency_ms_max: float
-    slo_ms: float
-    slo_attainment: float
-    wall_s: float
-    throughput_rps: float
-
-    def format(self) -> str:
-        """One-line human rendering of the snapshot."""
-        return (
-            f"{self.requests} requests ({self.rejected} rejected, "
-            f"{self.degraded} degraded, {self.retried} retried, "
-            f"{self.respawns} respawns); {self.throughput_rps:.1f} req/s; "
-            f"latency ms p50 {self.latency_ms_p50:.2f} "
-            f"p95 {self.latency_ms_p95:.2f} p99 {self.latency_ms_p99:.2f}; "
-            f"SLO {self.slo_ms:.0f}ms attainment {self.slo_attainment:.3f}"
-        )
-
-
-class _ClusterAccounting:
-    """Thread-safe counters/latency window behind :meth:`stats`."""
-
-    MAX_SAMPLES = 100_000
-
-    def __init__(self, slo_ms: float) -> None:
-        self._lock = threading.Lock()
-        self._started = time.perf_counter()
-        self.slo_ms = slo_ms
-        self._latencies: list[float] = []
-        self.requests = 0
-        self.rejected = 0
-        self.degraded = 0
-        self.failed = 0
-        self.retried = 0
-        self.respawns = 0
-
-    def record_rejected(self) -> None:
-        with self._lock:
-            self.rejected += 1
-
-    def record_degraded(self) -> None:
-        with self._lock:
-            self.degraded += 1
-
-    def record_retry(self) -> None:
-        with self._lock:
-            self.retried += 1
-
-    def record_respawn(self) -> None:
-        with self._lock:
-            self.respawns += 1
-
-    def record_done(self, latency_s: float, failed: bool) -> None:
-        with self._lock:
-            self.requests += 1
-            if failed:
-                self.failed += 1
-            else:
-                self._latencies.append(latency_s)
-                if len(self._latencies) > self.MAX_SAMPLES:
-                    del self._latencies[: -self.MAX_SAMPLES]
-
-    def snapshot(self) -> ClusterStats:
-        with self._lock:
-            lat_ms = np.sort(np.asarray(self._latencies)) * 1e3
-            requests, rejected = self.requests, self.rejected
-            degraded, failed = self.degraded, self.failed
-            retried, respawns = self.retried, self.respawns
-            wall = time.perf_counter() - self._started
-        have = len(lat_ms) > 0
-        return ClusterStats(
-            requests=requests,
-            rejected=rejected,
-            degraded=degraded,
-            failed=failed,
-            retried=retried,
-            respawns=respawns,
-            latency_ms_mean=float(lat_ms.mean()) if have else float("nan"),
-            latency_ms_p50=float(np.percentile(lat_ms, 50)) if have else float("nan"),
-            latency_ms_p95=float(np.percentile(lat_ms, 95)) if have else float("nan"),
-            latency_ms_p99=float(np.percentile(lat_ms, 99)) if have else float("nan"),
-            latency_ms_max=float(lat_ms[-1]) if have else float("nan"),
-            slo_ms=self.slo_ms,
-            slo_attainment=float((lat_ms <= self.slo_ms).mean()) if have else float("nan"),
-            wall_s=wall,
-            throughput_rps=requests / wall if wall > 0 else float("nan"),
-        )
 
 
 class _Pending:
@@ -278,6 +159,10 @@ def _worker_main(
         if item is None:
             break
         if item[0] == "crash":
+            # Flush first: dying while the feeder thread holds the write
+            # lock all workers share would wedge every other worker.
+            response_queue.close()
+            response_queue.join_thread()
             os._exit(17)
         _, request_id, slot, shape, serve_degraded = item
         try:
@@ -299,7 +184,7 @@ def _worker_main(
     client.close()
 
 
-class ShardedInferenceServer:
+class ShardedInferenceServer(_FrontEnd):
     """Multi-process sharded inference with shared-memory transport.
 
     Args:
@@ -337,7 +222,7 @@ class ShardedInferenceServer:
             through the environment); the degraded fallback stays
             untuned.  Cache misses serve the configured defaults; bytes
             are identical either way.  When omitted, follows the
-            ``REPRO_TUNED`` environment flag in each worker process.
+            ``REPRO_TUNED`` environment flag at construction.
 
     The server starts serving on construction and is a context
     manager; leaving the ``with`` block drains in-flight requests,
@@ -366,12 +251,8 @@ class ShardedInferenceServer:
     ) -> None:
         if procs <= 0:
             raise ValueError("procs must be positive")
-        if queue_depth <= 0:
-            raise ValueError("queue_depth must be positive")
         if replicas_per_shape <= 0:
             raise ValueError("replicas_per_shape must be positive")
-        if overload not in OVERLOAD_POLICIES:
-            raise ValueError(f"overload must be one of {OVERLOAD_POLICIES}, got {overload!r}")
         if backend is not None and not isinstance(backend, str):
             raise ValueError(
                 "cluster workers take a backend spec string (e.g. 'threaded:2'); "
@@ -379,27 +260,21 @@ class ShardedInferenceServer:
             )
         if max_retries < 0:
             raise ValueError("max_retries must be non-negative")
+        super().__init__(queue_depth=queue_depth, overload=overload, slo_ms=slo_ms, tuned=tuned)
         # Deferred import: repro.experiments is heavier than the serving
         # stack; only cluster construction pays for it.
         from ..experiments.spawn import spawn_context
 
         self.procs = procs
         self.replicas_per_shape = min(replicas_per_shape, procs)
-        self.queue_depth = queue_depth
-        self.overload = overload
         self.degrade_at = degrade_at if degrade_at is not None else max(1, queue_depth // 2)
         self.max_retries = max_retries
-        if tuned is None:
-            from ..tune.cache import tuned_enabled
-
-            tuned = tuned_enabled()
-        self.tuned = tuned
         self._worker_options = {
             "batch_size": batch_size,
             "tile": tile,
             "backend": backend,
             "compiled": compiled,
-            "tuned": tuned,
+            "tuned": self.tuned,
             "degraded_tile": (
                 degraded_tile
                 if degraded_tile is not None
@@ -408,19 +283,15 @@ class ShardedInferenceServer:
         }
         self._factory = model_factory
         self._state = dict(state_dict) if state_dict is not None else None
-        self._stats = _ClusterAccounting(slo_ms=slo_ms)
         self._ring = ShmRing(slots=queue_depth, slot_bytes=slot_bytes)
         self._context = spawn_context()
         self._responses = self._context.Queue()
-        self._lock = threading.Lock()
-        self._space = threading.Condition(self._lock)
         self._drained = threading.Condition(self._lock)
         self._ids = itertools.count()
         self._inflight: dict[int, _Pending] = {}
         self._outstanding = [0] * procs
         self._shapes_pinned = [0] * procs
         self._affinity: dict[tuple[int, ...], list[int]] = {}
-        self._closing = False
         self._stopping = False
         self._closed = False
         self._workers = [self._spawn_worker(rank) for rank in range(procs)]
@@ -430,67 +301,41 @@ class ShardedInferenceServer:
         self._collector.start()
 
     # ------------------------------------------------------------------
-    # client side
+    # front-end hooks
     # ------------------------------------------------------------------
-    def submit(self, image: np.ndarray, timeout: float | None = None) -> Future:
-        """Enqueue one (C, H, W) image; returns a future for its output.
-
-        Admission follows the ``overload`` policy; a ``"block"`` submit
-        raises :class:`ServerOverloaded` only if ``timeout`` elapses
-        with the cluster still full.
-        """
-        image = np.asarray(getattr(image, "data", image), dtype=np.float64)
-        if image.ndim != 3:
-            raise ValueError(f"expected one (C, H, W) image, got shape {image.shape}")
+    def _validate(self, image: np.ndarray) -> None:
         if 2 * image.nbytes > self._ring.slot_bytes:
             raise ValueError(
                 f"request of {image.nbytes} bytes cannot share a "
                 f"{self._ring.slot_bytes}-byte slot with its response; raise slot_bytes"
             )
-        deadline = None if timeout is None else time.perf_counter() + timeout
-        with self._lock:
-            degraded = self._admit_locked(deadline, timeout)
-            slot = self._ring.acquire(timeout=0.0)
-            # Admission == slot availability by construction (slots ==
-            # queue_depth == max in-flight), so this cannot be None.
-            assert slot is not None
-            pending = _Pending(
-                request_id=next(self._ids),
-                slot=slot,
-                shape=image.shape,
-                degraded=degraded,
-                retries_left=self.max_retries,
-            )
-            self._inflight[pending.request_id] = pending
-            # Payload before descriptor, descriptor under the lock:
-            # dispatch must be atomic with routing so the crash handler
-            # (also under the lock) sees every descriptor it may need
-            # to re-dispatch, and stale queues are never fed.
-            self._ring.put_array(slot, 0, image)
-            self._dispatch_locked(pending)
+
+    def _occupancy_locked(self) -> int:
+        return len(self._inflight)
+
+    def _enqueue_locked(self, image: np.ndarray, occupancy: int) -> Future:
+        degraded = self.overload == "degrade" and occupancy >= self.degrade_at
         if degraded:
-            self._stats.record_degraded()
+            self._stats.count("degraded")
+        slot = self._ring.acquire(timeout=0.0)
+        # Admission == slot availability by construction (slots ==
+        # queue_depth == max in-flight), so this cannot be None.
+        assert slot is not None
+        pending = _Pending(
+            request_id=next(self._ids),
+            slot=slot,
+            shape=image.shape,
+            degraded=degraded,
+            retries_left=self.max_retries,
+        )
+        self._inflight[pending.request_id] = pending
+        # Payload before descriptor, descriptor under the lock: dispatch
+        # must be atomic with routing so the crash handler (also under
+        # the lock) sees every descriptor it may need to re-dispatch,
+        # and stale queues are never fed.
+        self._ring.put_array(slot, 0, image)
+        self._dispatch_locked(pending)
         return pending.future
-
-    def predict(self, image: np.ndarray, timeout: float | None = None) -> np.ndarray:
-        """Blocking convenience: submit one image and wait for its output."""
-        deadline = None if timeout is None else time.perf_counter() + timeout
-        future = self.submit(image, timeout=timeout)
-        remaining = None if deadline is None else max(0.0, deadline - time.perf_counter())
-        try:
-            return future.result(remaining)
-        except FutureTimeoutError:
-            future.cancel()  # a no-op once running; sheds never-claimed work
-            raise
-
-    def pending(self) -> int:
-        """Admitted requests not yet resolved."""
-        with self._lock:
-            return len(self._inflight)
-
-    def stats(self) -> ClusterStats:
-        """Aggregate latency/throughput/overload snapshot."""
-        return self._stats.snapshot()
 
     def workers_alive(self) -> int:
         """Live worker processes (respawns keep this at ``procs``)."""
@@ -511,30 +356,8 @@ class ShardedInferenceServer:
             self._workers[rank].task_queue.put(("crash",))
 
     # ------------------------------------------------------------------
-    # admission + routing (callers hold self._lock)
+    # routing (callers hold self._lock)
     # ------------------------------------------------------------------
-    def _admit_locked(self, deadline: float | None, timeout: float | None) -> bool:
-        """Apply the overload policy; returns whether to serve degraded."""
-        if self._closing:
-            raise ServerClosed("server is shutting down")
-        if self.overload == "block":
-            while len(self._inflight) >= self.queue_depth:
-                remaining = None if deadline is None else deadline - time.perf_counter()
-                if remaining is not None and remaining <= 0:
-                    self._stats.record_rejected()
-                    raise ServerOverloaded(
-                        f"no admission within {timeout:.3f}s "
-                        f"({self.queue_depth} requests in flight)"
-                    )
-                self._space.wait(remaining)
-                if self._closing:
-                    raise ServerClosed("server is shutting down")
-            return False
-        if len(self._inflight) >= self.queue_depth:
-            self._stats.record_rejected()
-            raise ServerOverloaded(f"{self.queue_depth} requests in flight")
-        return self.overload == "degrade" and len(self._inflight) >= self.degrade_at
-
     def _route_locked(self, shape: tuple[int, ...]) -> int:
         """Shape-affine routing: pin a shape to a replica group once,
         then pick the group's least-outstanding live member."""
@@ -618,13 +441,10 @@ class ShardedInferenceServer:
             self._space.notify_all()
             if not self._inflight:
                 self._drained.notify_all()
-        latency = time.perf_counter() - pending.enqueued_at
-        if pending.future.set_running_or_notify_cancel():
-            if kind == "ok":
-                pending.future.set_result(output)
-            else:
-                pending.future.set_exception(RuntimeError(f"shard worker {rank}: {error}"))
-        self._stats.record_done(latency, failed=kind != "ok")
+        if kind == "ok":
+            self._settle(pending, output)
+        else:
+            self._settle(pending, error=RuntimeError(f"shard worker {rank}: {error}"))
 
     def _recover_dead_workers(self) -> None:
         crashed: list[_Pending] = []
@@ -641,7 +461,7 @@ class ShardedInferenceServer:
                 # its accepted work under fresh ids.
                 worker.task_queue.close()
                 worker.task_queue.cancel_join_thread()
-                self._stats.record_respawn()
+                self._stats.count("respawns")
                 self._workers[rank] = self._spawn_worker(rank)
                 self._outstanding[rank] = 0
                 victims = [p for p in self._inflight.values() if p.rank == rank]
@@ -655,19 +475,16 @@ class ShardedInferenceServer:
                     pending.retries_left -= 1
                     pending.request_id = next(self._ids)
                     self._inflight[pending.request_id] = pending
-                    self._stats.record_retry()
+                    self._stats.count("retried")
                     self._dispatch_locked(pending)
                 if not self._inflight:
                     self._drained.notify_all()
         for pending in crashed:
-            if pending.future.set_running_or_notify_cancel():
-                pending.future.set_exception(
-                    WorkerCrashed(
-                        f"worker crashed {self.max_retries + 1} times serving this request"
-                    )
-                )
-            self._stats.record_done(
-                time.perf_counter() - pending.enqueued_at, failed=True
+            self._settle(
+                pending,
+                error=WorkerCrashed(
+                    f"worker crashed {self.max_retries + 1} times serving this request"
+                ),
             )
 
     # ------------------------------------------------------------------
@@ -699,8 +516,7 @@ class ShardedInferenceServer:
             self._stopping = True
             workers = list(self._workers)
         for pending in aborted:
-            if pending.future.set_running_or_notify_cancel():
-                pending.future.set_exception(ServerClosed("server closed"))
+            self._settle(pending, error=ServerClosed("server closed"))
         for worker in workers:
             try:
                 worker.task_queue.put(None)
@@ -720,9 +536,3 @@ class ShardedInferenceServer:
         self._ring.destroy()
         with self._lock:
             self._closed = True
-
-    def __enter__(self) -> "ShardedInferenceServer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close(drain=True)

@@ -32,7 +32,8 @@ import time
 import numpy as np
 
 from ..nn.inference import Predictor
-from .server import InferenceServer, ServerOverloaded
+from .frontend import ServerOverloaded, latency_summary
+from .server import InferenceServer
 
 __all__ = [
     "Workload",
@@ -89,9 +90,9 @@ class LoadResult:
     """Outcome of one closed-loop run.
 
     Carries the same latency schema (p50/p95/p99 + SLO attainment) as
-    :class:`~repro.serving.server.ServerStats` and the cluster's
-    :class:`~repro.serving.cluster.ClusterStats`, so thread- and
-    process-served runs report comparably.
+    :class:`~repro.serving.frontend.ServerStats`, which both servers'
+    ``stats()`` return, so thread- and process-served runs report
+    comparably.
     """
 
     outputs: tuple[tuple[np.ndarray, ...], ...]  # outputs[c][k]
@@ -102,6 +103,7 @@ class LoadResult:
     latency_ms_p95: float
     latency_ms_p50: float = float("nan")
     latency_ms_p99: float = float("nan")
+    latency_ms_max: float = float("nan")
     slo_ms: float = 100.0
     slo_attainment: float = float("nan")
 
@@ -127,19 +129,13 @@ def _collect(
     requests: int,
     slo_ms: float = 100.0,
 ) -> LoadResult:
-    lat_ms = np.sort(np.asarray(latencies)) * 1e3
-    have = len(lat_ms) > 0
     return LoadResult(
         outputs=outputs,
         duration_s=duration,
         requests=requests,
         throughput_rps=requests / duration if duration > 0 else float("nan"),
-        latency_ms_mean=float(lat_ms.mean()) if have else float("nan"),
-        latency_ms_p95=float(np.percentile(lat_ms, 95)) if have else float("nan"),
-        latency_ms_p50=float(np.percentile(lat_ms, 50)) if have else float("nan"),
-        latency_ms_p99=float(np.percentile(lat_ms, 99)) if have else float("nan"),
         slo_ms=slo_ms,
-        slo_attainment=float((lat_ms <= slo_ms).mean()) if have else float("nan"),
+        **latency_summary(np.asarray(latencies) * 1e3, slo_ms),
     )
 
 
@@ -281,6 +277,7 @@ class OpenLoopResult:
     latency_ms_p50: float
     latency_ms_p95: float
     latency_ms_p99: float
+    latency_ms_max: float
     slo_ms: float
     slo_attainment: float
 
@@ -301,7 +298,7 @@ def run_open_loop(server, trace: ArrivalTrace, slo_ms: float = 100.0) -> OpenLoo
 
     One dispatcher thread submits each request at its scheduled arrival
     time with a non-blocking admission (``timeout=0``): a full server
-    raises :class:`~repro.serving.server.ServerOverloaded` and the
+    raises :class:`~repro.serving.frontend.ServerOverloaded` and the
     request counts as rejected — open loop never retries, the next
     arrival is already due.  Completion times are captured by future
     callbacks, so slow requests never stall the arrival process.
@@ -358,8 +355,6 @@ def run_open_loop(server, trace: ArrivalTrace, slo_ms: float = 100.0) -> OpenLoo
         for index, finish in enumerate(finished_at)
         if finish is not None
     ]
-    lat_ms = np.sort(np.asarray(latencies)) * 1e3
-    have = len(lat_ms) > 0
     completed = len(latencies)
     return OpenLoopResult(
         outputs=tuple(outputs),
@@ -370,10 +365,6 @@ def run_open_loop(server, trace: ArrivalTrace, slo_ms: float = 100.0) -> OpenLoo
         duration_s=duration,
         offered_rps=trace.rate_rps,
         throughput_rps=completed / duration if duration > 0 else float("nan"),
-        latency_ms_mean=float(lat_ms.mean()) if have else float("nan"),
-        latency_ms_p50=float(np.percentile(lat_ms, 50)) if have else float("nan"),
-        latency_ms_p95=float(np.percentile(lat_ms, 95)) if have else float("nan"),
-        latency_ms_p99=float(np.percentile(lat_ms, 99)) if have else float("nan"),
         slo_ms=slo_ms,
-        slo_attainment=float((lat_ms <= slo_ms).mean()) if have else float("nan"),
+        **latency_summary(np.asarray(latencies) * 1e3, slo_ms),
     )

@@ -141,6 +141,28 @@ class Queue:
             self._items = []
 """
 
+#: The serving shape: a front-end base class in another module owns
+#: ``self._lock``; the executor subclass only ever names it in ``with``.
+BAD_LOCKS_FRONT_END_SUBCLASS = """\
+from .frontend import _FrontEnd
+
+class Server(_FrontEnd):
+    def __init__(self):
+        super().__init__()
+        self._pending = []
+
+    def _enqueue_locked(self, request):
+        self._pending = self._pending + [request]
+
+    def close(self):
+        with self._lock:
+            self._closing = True
+            self._pending = []
+
+    def reset(self):
+        self._pending = []  # race: the front end's lock is not held
+"""
+
 # ----------------------------------------------------------------------
 # state-dict-completeness
 # ----------------------------------------------------------------------
@@ -333,6 +355,7 @@ FIXTURE_TREE = [
     ("src/repro/train/good_rng.py", GOOD_DETERMINISM, 0),
     ("src/repro/serving/bad_locks.py", BAD_LOCKS, 1),
     ("src/repro/serving/good_locks.py", GOOD_LOCKS, 0),
+    ("src/repro/serving/bad_front_end.py", BAD_LOCKS_FRONT_END_SUBCLASS, 1),
     ("src/repro/train/bad_optim.py", BAD_STATE_DICT_ADAM, 2),
     ("src/repro/train/good_optim.py", GOOD_STATE_DICT_ADAM, 0),
     ("src/repro/hardware/bad_api.py", BAD_PUBLIC_API, 2),

@@ -99,6 +99,12 @@ class TestLockDiscipline:
         findings = run(bad, fx.NN_PATH, only="lock-discipline")
         assert names(findings) == ["lock-discipline"]
 
+    def test_checks_subclass_of_a_front_end_in_another_module(self):
+        findings = run(fx.BAD_LOCKS_FRONT_END_SUBCLASS, fx.SERVING_PATH, only="lock-discipline")
+        assert len(findings) == 1
+        assert "Server.reset" in findings[0].message
+        assert "_pending" in findings[0].message
+
 
 class TestStateDictCompleteness:
     def test_fires_on_missing_buffer_in_both_methods(self):

@@ -1,20 +1,19 @@
 """Tests for the process-sharded inference server (repro.serving.cluster)."""
 
-import dataclasses
 import functools
 
 import numpy as np
 import pytest
 
+from repro.comms.shm import active_segments
 from repro.nn.inference import Predictor
 from repro.serving import (
-    ClusterStats,
+    InferenceServer,
     ServerClosed,
     ServerOverloaded,
     ServerStats,
     ShardedInferenceServer,
     WorkerCrashed,
-    active_segments,
     make_poisson_trace,
     make_workload,
     run_closed_loop,
@@ -222,24 +221,16 @@ class TestRoutingAndStats:
         assert len({group[0] for group in affinity.values()}) == 2
 
     def test_stats_schema_matches_thread_server(self):
-        shared = {
-            "requests",
-            "rejected",
-            "failed",
-            "latency_ms_mean",
-            "latency_ms_p50",
-            "latency_ms_p95",
-            "latency_ms_p99",
-            "latency_ms_max",
-            "slo_ms",
-            "slo_attainment",
-            "wall_s",
-            "throughput_rps",
-        }
-        cluster_fields = {f.name for f in dataclasses.fields(ClusterStats)}
-        server_fields = {f.name for f in dataclasses.fields(ServerStats)}
-        assert shared <= cluster_fields
-        assert shared <= server_fields
+        # One schema: both servers' stats() return the same ServerStats.
+        image = _images(1)[0]
+        with ShardedInferenceServer(FACTORY, procs=1, queue_depth=2) as server:
+            server.predict(image, timeout=120)
+            cluster_stats = server.stats()
+        with InferenceServer(make_bench_model(0), workers=1) as server:
+            server.predict(image, timeout=120)
+            thread_stats = server.stats()
+        assert type(cluster_stats) is ServerStats
+        assert type(thread_stats) is ServerStats
 
     def test_stats_format_mentions_slo(self):
         with ShardedInferenceServer(FACTORY, procs=1, queue_depth=2) as server:

@@ -205,7 +205,7 @@ class TestBackpressure:
             max_batch=1,
             max_wait_ms=0.0,
             queue_depth=1,
-            reject_when_full=True,
+            overload="reject",
         )
         try:
             futures = []

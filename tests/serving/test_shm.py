@@ -1,4 +1,4 @@
-"""Tests for the shared-memory slot-ring transport (repro.serving.shm)."""
+"""Tests for the shared-memory slot-ring transport (repro.comms.shm)."""
 
 import threading
 import time
@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.serving.shm import RingClient, ShmRing, active_segments
+from repro.comms.shm import RingClient, ShmRing, active_segments
 
 
 class TestSlotRoundtrip:
